@@ -635,49 +635,20 @@ size_t ColumnMergingIterator::ZipSplice(ScanBatch* batch,
                                         const Slice& hi_inclusive,
                                         size_t max_rows,
                                         ScanPathCounters* counters) {
-  // Every child prepares (or re-exposes) its decoded column run; the splice
-  // length starts as the shortest run and shrinks to the longest common-key
-  // prefix. A child that cannot prove even one row vetoes the round — the
-  // caller's per-row fold resolves the conflicting key and zip is retried
-  // after it.
-  zip_views_.resize(children_.size());
-  size_t cap = max_rows;
-  for (size_t i = 0; i < children_.size(); ++i) {
-    const size_t n = children_[i]->AppendColumnRunTo(
-        &zip_views_[i], limit_exclusive, hi_inclusive, cap);
-    if (n == 0) return 0;
-    cap = std::min(cap, n);
-  }
-
-  // The vectorized key agreement: one memcmp over each child's key vector
-  // against child 0's; only on mismatch is the divergence point located.
-  size_t rows = cap;
-  const uint64_t* keys0 = zip_views_[0].keys;
-  for (size_t i = 1; i < children_.size() && rows > 0; ++i) {
-    const uint64_t* keys = zip_views_[i].keys;
-    if (memcmp(keys0, keys, rows * sizeof(uint64_t)) == 0) continue;
-    size_t j = 0;
-    while (j < rows && keys0[j] == keys[j]) ++j;
-    rows = j;
-  }
+  // The level's own composed run, spliced: a child that cannot prove even
+  // one row vetoes the round — the caller's per-row fold resolves the
+  // conflicting key and zip is retried after it. The children's covered
+  // lists partition covered_union_, so each batch column is written exactly
+  // once; the uncovered remainder is nulled.
+  const size_t rows =
+      AppendColumnRunTo(&composed_, limit_exclusive, hi_inclusive, max_rows);
   if (rows == 0) return 0;
-
-  // Splice: keys once, then each child's covered columns column-major (the
-  // children's covered lists partition covered_union_, so each batch column
-  // is written exactly once), then the uncovered remainder nulled.
   const size_t row0 = batch->size();
-  batch->AppendDecodedKeys(keys0, rows);
-  for (size_t i = 0; i < children_.size(); ++i) {
-    const std::vector<int>& covered = *children_[i]->covered_positions();
-    for (size_t ci = 0; ci < covered.size(); ++ci) {
-      batch->SpliceColumnRun(static_cast<size_t>(covered[ci]), row0,
-                             zip_views_[i].cols[ci], rows);
-    }
-    children_[i]->ConsumeColumnRun(rows);
-  }
+  SpliceRunView(batch, composed_, covered_union_, rows);
   for (const int pos : uncovered_union_) {
     batch->NullColumnRun(static_cast<size_t>(pos), row0, rows);
   }
+  ConsumeColumnRun(rows);
   counters->zip_rows += rows;
   ++counters->zip_splices;
   counters->source_advances += rows * children_.size();
@@ -695,32 +666,18 @@ size_t ColumnMergingIterator::AppendColumnRunTo(ColumnRunView* view,
   // prefix of the children's runs — per-index key equality is what makes
   // "splice child columns side by side" equal to the row-at-a-time merge.
   if (!covered_exact_ || tied_.size() != children_.size()) return 0;
-  zip_views_.resize(children_.size());
-  size_t cap = max_rows;
-  for (size_t i = 0; i < children_.size(); ++i) {
-    const size_t n = children_[i]->AppendColumnRunTo(
-        &zip_views_[i], limit_exclusive, hi_inclusive, cap);
-    if (n == 0) return 0;
-    cap = std::min(cap, n);
-  }
-  size_t rows = cap;
-  const uint64_t* keys0 = zip_views_[0].keys;
-  for (size_t i = 1; i < children_.size() && rows > 0; ++i) {
-    const uint64_t* keys = zip_views_[i].keys;
-    if (memcmp(keys0, keys, rows * sizeof(uint64_t)) == 0) continue;
-    size_t j = 0;
-    while (j < rows && keys0[j] == keys[j]) ++j;
-    rows = j;
-  }
+  const size_t rows = CommonColumnRun(children_, tied_, limit_exclusive,
+                                      hi_inclusive, max_rows, &zip_views_);
   if (rows == 0) return 0;
 
-  // Compose without copying: keys are child 0's vector, and each union
-  // column borrows the pointer of the unique child covering that position.
-  view->keys = keys0;
+  // Compose without copying: keys are the first child's vector, and each
+  // union column borrows the pointer of the unique child covering that
+  // position.
+  view->keys = zip_views_[0].keys;
   view->rows = rows;
   view->cols.resize(covered_union_.size());
-  for (size_t i = 0; i < children_.size(); ++i) {
-    const std::vector<int>& covered = *children_[i]->covered_positions();
+  for (size_t i = 0; i < tied_.size(); ++i) {
+    const std::vector<int>& covered = *children_[tied_[i]]->covered_positions();
     for (size_t ci = 0; ci < covered.size(); ++ci) {
       const int ui = union_index_of_position_[static_cast<size_t>(covered[ci])];
       view->cols[static_cast<size_t>(ui)] = zip_views_[i].cols[ci];

@@ -243,11 +243,10 @@ class ColumnMergingIterator final : public ContributionSource {
   Status status() const override;
 
  private:
-  /// One zip round: asks every child for its prepared column run, finds the
-  /// longest common-key prefix across the k runs (vectorized equality over
-  /// the decoded key vectors), splices it into `batch`, and consumes it from
-  /// every child. Returns rows spliced; 0 means some child could not zip or
-  /// the runs diverge at their first key. REQUIRES: every child tied
+  /// One zip round: composes the children's common-key run
+  /// (AppendColumnRunTo), splices it into `batch`, and consumes it
+  /// (ConsumeColumnRun). Returns rows spliced; 0 means some child could not
+  /// zip or the runs diverge at their first key. REQUIRES: every child tied
   /// (lockstep) and covered_exact_.
   size_t ZipSplice(ScanBatch* batch, const Slice& limit_exclusive,
                    const Slice& hi_inclusive, size_t max_rows,
@@ -278,7 +277,8 @@ class ColumnMergingIterator final : public ContributionSource {
   SourceMinHeap heap_;
   ScanPathCounters counters_;  // local: the level merge above tracks its own
   std::vector<int> tied_;      // children contributing the current key
-  std::vector<ColumnRunView> zip_views_;  // per-child run windows (reused)
+  std::vector<ColumnRunView> zip_views_;  // per-tied-child run windows
+  ColumnRunView composed_;                // ZipSplice's union-layout view
   bool valid_ = false;
   bool any_value_ = false;
   // False while the current lockstep row exists only in the children;

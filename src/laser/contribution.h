@@ -19,8 +19,11 @@
 #ifndef LASER_LASER_CONTRIBUTION_H_
 #define LASER_LASER_CONTRIBUTION_H_
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
+#include <cstring>
+#include <memory>
 #include <vector>
 
 #include "laser/scan_batch.h"
@@ -202,6 +205,52 @@ class ContributionSource {
 
   virtual Status status() const = 0;
 };
+
+/// The zip path's prepare step over several sources at once: asks each
+/// source `sources[order[i]]` for its prepared column run (into
+/// `(*views)[i]`), then shrinks the shortest run to the longest common-key
+/// prefix of all of them — one memcmp per source against `(*views)[0]`, the
+/// divergence located only on mismatch. Over the returned prefix every source
+/// holds a single-version full row at the SAME user key at each index.
+/// Returns 0 when some source cannot zip or the runs diverge at their first
+/// key; nothing is consumed either way.
+inline size_t CommonColumnRun(
+    const std::vector<std::unique_ptr<ContributionSource>>& sources,
+    const std::vector<int>& order, const Slice& limit_exclusive,
+    const Slice& hi_inclusive, size_t max_rows,
+    std::vector<ColumnRunView>* views) {
+  views->resize(order.size());
+  size_t rows = max_rows;
+  for (size_t i = 0; i < order.size(); ++i) {
+    const size_t n = sources[order[i]]->AppendColumnRunTo(
+        &(*views)[i], limit_exclusive, hi_inclusive, rows);
+    if (n == 0) return 0;
+    rows = std::min(rows, n);
+  }
+  const uint64_t* keys0 = (*views)[0].keys;
+  for (size_t i = 1; i < order.size() && rows > 0; ++i) {
+    const uint64_t* keys = (*views)[i].keys;
+    if (memcmp(keys0, keys, rows * sizeof(uint64_t)) == 0) continue;
+    size_t j = 0;
+    while (j < rows && keys0[j] == keys[j]) ++j;
+    rows = j;
+  }
+  return rows;
+}
+
+/// Splices the first `rows` rows of `view` into `batch`: the keys, then each
+/// of its columns into projection position `positions[i]` (parallel to
+/// view.cols). Other positions of the new rows are left for the caller.
+/// REQUIRES: column capacity for the new rows (EnsureColumnCapacity).
+inline void SpliceRunView(ScanBatch* batch, const ColumnRunView& view,
+                          const std::vector<int>& positions, size_t rows) {
+  const size_t row0 = batch->size();
+  batch->AppendDecodedKeys(view.keys, rows);
+  for (size_t i = 0; i < positions.size(); ++i) {
+    batch->SpliceColumnRun(static_cast<size_t>(positions[i]), row0,
+                           view.cols[i], rows);
+  }
+}
 
 }  // namespace laser
 

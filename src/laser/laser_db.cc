@@ -1521,15 +1521,7 @@ ScanIterator::ScanIterator(uint64_t hi_key, ColumnSet projection,
                            std::unique_ptr<LevelMergingIterator> impl,
                            Stats* stats, WorkloadTrace* trace, ScanSpec spec,
                            std::vector<std::unique_ptr<ZoneMapScanFilter>> filters)
-    : projection_(std::move(projection)),
-      hi_key_encoded_(EncodeKey64(hi_key)),
-      spec_(std::move(spec)),
-      pinned_memtables_(std::move(pinned_memtables)),
-      pinned_version_(std::move(pinned_version)),
-      filters_(std::move(filters)),
-      impl_(std::move(impl)),
-      stats_(stats),
-      trace_(trace) {
+    : projection_(std::move(projection)), spec_(std::move(spec)) {
   pred_positions_.reserve(spec_.predicates.size());
   for (const ScanPredicate& pred : spec_.predicates) {
     const auto it =
@@ -1537,73 +1529,119 @@ ScanIterator::ScanIterator(uint64_t hi_key, ColumnSet projection,
     assert(it != projection_.end() && *it == pred.column);  // NewScan checked
     pred_positions_.push_back(static_cast<size_t>(it - projection_.begin()));
   }
+  Part part;
+  part.hi_key_encoded = EncodeKey64(hi_key);
+  part.pinned_memtables = std::move(pinned_memtables);
+  part.pinned_version = std::move(pinned_version);
+  part.filters = std::move(filters);
+  part.merge = std::move(impl);
+  part.stats = stats;
+  part.trace = trace;
+  parts_.push_back(std::move(part));
+}
+
+std::unique_ptr<ScanIterator> ScanIterator::Concat(
+    std::vector<std::unique_ptr<ScanIterator>> scans) {
+  assert(!scans.empty());
+  std::unique_ptr<ScanIterator> joined = std::move(scans[0]);
+  for (size_t i = 1; i < scans.size(); ++i) {
+    for (Part& part : scans[i]->parts_) joined->parts_.push_back(std::move(part));
+    scans[i]->parts_.clear();
+  }
+  return joined;
 }
 
 ScanIterator::~ScanIterator() {
-  if (stats_ != nullptr) {
-    const ScanPathCounters& c = impl_->counters();
-    stats_->scan_rows_merged.fetch_add(c.rows_merged, std::memory_order_relaxed);
-    stats_->scan_source_advances.fetch_add(c.source_advances,
-                                           std::memory_order_relaxed);
-    stats_->scan_heap_resifts.fetch_add(c.heap_resifts,
-                                        std::memory_order_relaxed);
-    stats_->scan_zip_rows.fetch_add(c.zip_rows, std::memory_order_relaxed);
-    stats_->scan_zip_splices.fetch_add(c.zip_splices,
-                                       std::memory_order_relaxed);
-    stats_->scan_batches_emitted.fetch_add(batches_emitted_,
-                                           std::memory_order_relaxed);
-    uint64_t blocks_skipped = 0;
-    uint64_t files_skipped = 0;
-    for (const auto& filter : filters_) {
-      blocks_skipped += filter->blocks_skipped();
-      files_skipped += filter->files_skipped();
-    }
-    stats_->blocks_skipped_zonemap.fetch_add(blocks_skipped,
-                                             std::memory_order_relaxed);
-    stats_->files_skipped_zonemap.fetch_add(files_skipped,
+  for (Part& part : parts_) {
+    if (part.stats != nullptr) {
+      Stats* stats = part.stats;
+      const ScanPathCounters& c = part.merge->counters();
+      stats->scan_rows_merged.fetch_add(c.rows_merged, std::memory_order_relaxed);
+      stats->scan_source_advances.fetch_add(c.source_advances,
                                             std::memory_order_relaxed);
-    stats_->rows_filtered_pushdown.fetch_add(rows_filtered_,
+      stats->scan_heap_resifts.fetch_add(c.heap_resifts,
+                                         std::memory_order_relaxed);
+      stats->scan_zip_rows.fetch_add(c.zip_rows, std::memory_order_relaxed);
+      stats->scan_zip_splices.fetch_add(c.zip_splices,
+                                        std::memory_order_relaxed);
+      stats->scan_batches_emitted.fetch_add(part.batches_emitted,
+                                            std::memory_order_relaxed);
+      uint64_t blocks_skipped = 0;
+      uint64_t files_skipped = 0;
+      for (const auto& filter : part.filters) {
+        blocks_skipped += filter->blocks_skipped();
+        files_skipped += filter->files_skipped();
+      }
+      stats->blocks_skipped_zonemap.fetch_add(blocks_skipped,
+                                              std::memory_order_relaxed);
+      stats->files_skipped_zonemap.fetch_add(files_skipped,
                                              std::memory_order_relaxed);
-    stats_->aggs_pushed.fetch_add(aggs_pushed_, std::memory_order_relaxed);
-    stats_->aggs_from_zonemap.fetch_add(aggs_from_zonemap_,
-                                        std::memory_order_relaxed);
-    stats_->scan_rows_emitted.fetch_add(rows_emitted_,
-                                        std::memory_order_relaxed);
-    // Per scan (not per row): the trace weights scans by rows separately.
-    for (int column : projection_) {
-      stats_->scan_projected_by_column[Stats::ColumnSlot(column)].fetch_add(
-          1, std::memory_order_relaxed);
+      stats->rows_filtered_pushdown.fetch_add(part.rows_filtered,
+                                              std::memory_order_relaxed);
+      stats->aggs_pushed.fetch_add(part.aggs_pushed, std::memory_order_relaxed);
+      stats->aggs_from_zonemap.fetch_add(part.aggs_from_zonemap,
+                                         std::memory_order_relaxed);
+      stats->scan_rows_emitted.fetch_add(part.rows_emitted,
+                                         std::memory_order_relaxed);
+      // Per scan (not per row): the trace weights scans by rows separately.
+      for (int column : projection_) {
+        stats->scan_projected_by_column[Stats::ColumnSlot(column)].fetch_add(
+            1, std::memory_order_relaxed);
+      }
     }
+    if (part.trace != nullptr) {
+      part.trace->AddRangeScan(projection_,
+                               static_cast<double>(part.rows_emitted));
+    }
+    // The merge's memtable iterators go before the memtables they read.
+    part.merge.reset();
+    for (MemTable* m : part.pinned_memtables) m->Unref();
   }
-  if (trace_ != nullptr) {
-    trace_->AddRangeScan(projection_, static_cast<double>(rows_emitted_));
+}
+
+size_t ScanIterator::Fill(ScanBatch* batch, size_t max_rows) {
+  batch->Reset(projection_.size());
+  if (max_rows == 0) return 0;  // an empty fill must not end the part
+  while (current_ < parts_.size()) {
+    Part& part = parts_[current_];
+    if (part.merge->AppendRows(batch, Slice(part.hi_key_encoded), max_rows) ==
+        0) {
+      if (!part.merge->status().ok()) return 0;
+      ++current_;
+      continue;
+    }
+    if (!spec_.predicates.empty()) FilterBatch(batch);
+    if (!batch->empty()) return batch->size();
+    // Under predicates a fill can be wiped out entirely; keep pulling so a 0
+    // return still means "exhausted", not "unlucky batch".
+    batch->Reset(projection_.size());
   }
-  for (MemTable* m : pinned_memtables_) m->Unref();
+  return 0;
 }
 
 size_t ScanIterator::NextBatch(ScanBatch* batch, size_t max_rows) {
-  if (row_mode_) {
-    assert(!"ScanIterator: NextBatch after per-row access (one style only)");
-    mode_error_ = Status::InvalidArgument(
-        "ScanIterator: NextBatch called after per-row access; use one "
-        "consumption style per iterator");
-    return 0;
-  }
-  batch_mode_ = true;
-  batch->Reset(projection_.size());
-  // Under predicates a fill can be wiped out entirely; keep pulling so a 0
-  // return still means "exhausted", not "unlucky batch".
-  size_t n = 0;
-  while (true) {
-    n = impl_->AppendRows(batch, Slice(hi_key_encoded_), max_rows);
-    if (n == 0) break;
-    if (!spec_.predicates.empty()) FilterBatch(batch);
-    n = batch->size();
-    if (n > 0) break;
+  size_t n;
+  if (row_ < rows_.size()) {
+    // Rows the per-row cursor buffered but the caller has not consumed yet
+    // come first.
+    n = std::min(max_rows, rows_.size() - row_);
     batch->Reset(projection_.size());
+    batch->EnsureColumnCapacity(n);
+    batch->keys.assign(rows_.keys.begin() + row_, rows_.keys.begin() + row_ + n);
+    for (size_t pos = 0; pos < projection_.size(); ++pos) {
+      const ScanBatch::Column& from = rows_.columns[pos];
+      ScanBatch::Column& to = batch->columns[pos];
+      std::copy_n(from.values.begin() + row_, n, to.values.begin());
+      std::copy_n(from.present.begin() + row_, n, to.present.begin());
+    }
+    row_ += n;
+  } else {
+    n = Fill(batch, max_rows);
   }
-  rows_emitted_ += n;
-  if (n > 0) ++batches_emitted_;
+  if (n > 0) {
+    parts_[current_].rows_emitted += n;
+    ++parts_[current_].batches_emitted;
+  }
   return n;
 }
 
@@ -1637,7 +1675,7 @@ void ScanIterator::FilterBatch(ScanBatch* batch) {
       ++w;
     }
   }
-  rows_filtered_ += n - write;
+  parts_[current_].rows_filtered += n - write;
   batch->keys.resize(write);
 }
 
@@ -1651,11 +1689,15 @@ Status ScanIterator::AggregateAll(ScanAggregates* out) {
   // No caller sees rows from this iterator any more, so fold-capable
   // sources may answer whole blocks from their zone maps: arm their folds
   // and force sole-contributor windows even on a predicate-free scan.
-  bool any_fold = false;
-  for (const auto& filter : filters_) {
-    if (filter->ArmFold()) any_fold = true;
+  for (size_t i = current_; i < parts_.size(); ++i) {
+    Part& part = parts_[i];
+    bool any_fold = false;
+    for (const auto& filter : part.filters) {
+      if (filter->ArmFold()) any_fold = true;
+    }
+    if (any_fold) part.merge->set_arm_windows_always(true);
+    part.aggs_pushed += 4 * width;
   }
-  if (any_fold) impl_->set_arm_windows_always(true);
   ScanBatch batch;
   size_t n;
   while ((n = NextBatch(&batch)) > 0) {
@@ -1680,74 +1722,73 @@ Status ScanIterator::AggregateAll(ScanAggregates* out) {
       out->maxima[pos] = mx;
     }
   }
-  // Merge in the blocks the filters answered from zone maps alone.
-  for (const auto& filter : filters_) {
-    if (filter->blocks_folded() == 0) continue;
-    const ScanAggregates& fold = filter->folded();
-    out->rows += fold.rows;
-    // Folded rows reached the aggregate result; count them as emitted for
-    // stats and the workload trace's selectivity.
-    rows_emitted_ += fold.rows;
-    for (size_t pos = 0; pos < width; ++pos) {
-      out->counts[pos] += fold.counts[pos];
-      out->sums[pos] += fold.sums[pos];
-      out->minima[pos] = std::min(out->minima[pos], fold.minima[pos]);
-      out->maxima[pos] = std::max(out->maxima[pos], fold.maxima[pos]);
+  // Merge in the blocks the filters answered from zone maps alone, once per
+  // part: a later AggregateAll must not count them again.
+  for (Part& part : parts_) {
+    if (part.folds_taken) continue;
+    part.folds_taken = true;
+    for (const auto& filter : part.filters) {
+      if (filter->blocks_folded() == 0) continue;
+      const ScanAggregates& fold = filter->folded();
+      out->rows += fold.rows;
+      // Folded rows reached the aggregate result; count them as emitted for
+      // stats and the workload trace's selectivity.
+      part.rows_emitted += fold.rows;
+      for (size_t pos = 0; pos < width; ++pos) {
+        out->counts[pos] += fold.counts[pos];
+        out->sums[pos] += fold.sums[pos];
+        out->minima[pos] = std::min(out->minima[pos], fold.minima[pos]);
+        out->maxima[pos] = std::max(out->maxima[pos], fold.maxima[pos]);
+      }
+      part.aggs_from_zonemap += filter->blocks_folded();
     }
-    aggs_from_zonemap_ += filter->blocks_folded();
   }
-  aggs_pushed_ += 4 * width;
   return status();
 }
 
-bool ScanIterator::RowMatchesPredicates() const {
-  const auto& row = impl_->row();
-  for (size_t pi = 0; pi < spec_.predicates.size(); ++pi) {
-    const std::optional<ColumnValue>& value = row[pred_positions_[pi]];
-    if (!value.has_value()) return false;
-    if (!PredicateMatches(spec_.predicates[pi], *value)) return false;
-  }
-  return true;
-}
-
-void ScanIterator::SkipNonMatchingRows() {
-  while (impl_->Valid() &&
-         impl_->user_key().compare(Slice(hi_key_encoded_)) <= 0 &&
-         !RowMatchesPredicates()) {
-    ++rows_filtered_;
-    impl_->Next();
-  }
-}
-
 bool ScanIterator::Valid() const {
-  if (batch_mode_) {
-    assert(!"ScanIterator: per-row access after NextBatch (one style only)");
-    mode_error_ = Status::InvalidArgument(
-        "ScanIterator: per-row access after NextBatch; use one consumption "
-        "style per iterator");
-    return false;
-  }
-  row_mode_ = true;
-  if (!row_primed_ && !spec_.predicates.empty()) {
-    // Lazy so batch-style scans never pay a per-row skip at open.
-    const_cast<ScanIterator*>(this)->SkipNonMatchingRows();
-  }
-  row_primed_ = true;
-  return impl_->Valid() &&
-         impl_->user_key().compare(Slice(hi_key_encoded_)) <= 0;
+  if (row_ < rows_.size()) return true;
+  // Refilled on demand; the cursor's state is not part of the observable
+  // scan, so a const Valid() may advance the merge underneath it.
+  auto* self = const_cast<ScanIterator*>(this);
+  self->row_ = 0;
+  row_values_of_ = SIZE_MAX;
+  return self->Fill(&self->rows_, kDefaultBatchRows) > 0;
 }
 
 void ScanIterator::Next() {
   assert(Valid());
-  ++rows_emitted_;
-  impl_->Next();
-  if (!spec_.predicates.empty()) SkipNonMatchingRows();
+  ++parts_[current_].rows_emitted;
+  ++row_;
 }
 
-uint64_t ScanIterator::key() const { return DecodeKey64(impl_->user_key()); }
+uint64_t ScanIterator::key() const {
+  assert(row_ < rows_.size());
+  return rows_.keys[row_];
+}
 
 const std::vector<std::optional<ColumnValue>>& ScanIterator::values() const {
-  return impl_->row();
+  assert(row_ < rows_.size());
+  if (row_values_of_ != row_) {
+    row_values_.resize(projection_.size());
+    for (size_t pos = 0; pos < projection_.size(); ++pos) {
+      const ScanBatch::Column& col = rows_.columns[pos];
+      if (col.present[row_] != 0) {
+        row_values_[pos] = col.values[row_];
+      } else {
+        row_values_[pos] = std::nullopt;
+      }
+    }
+    row_values_of_ = row_;
+  }
+  return row_values_;
+}
+
+Status ScanIterator::status() const {
+  for (const Part& part : parts_) {
+    if (Status s = part.merge->status(); !s.ok()) return s;
+  }
+  return Status::OK();
 }
 
 }  // namespace laser

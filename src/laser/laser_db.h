@@ -17,6 +17,7 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <cstdint>
 #include <deque>
 #include <memory>
 #include <mutex>
@@ -355,33 +356,44 @@ class LaserSnapshot {
 /// Cursor over the rows of a range scan (§4.3), in key order, with old
 /// versions discarded and columns stitched across levels and CGs.
 ///
-/// Three consumption styles:
-///   - NextBatch(): the fast path. Pulls whole columnar batches (ScanBatch)
-///     out of the heap-based k-way merge; consumers aggregate over flat
-///     per-column arrays.
+/// A scan is one or more parts over disjoint, ascending key ranges: a
+/// LaserDB scan has one, a ShardedLaserDB scan one per overlapping shard.
+/// Each part pins its engine's memtables and version, owns its zone-map
+/// filters and its LevelMergingIterator, and reports to its engine's Stats
+/// and trace; the iterator drains the parts in turn.
+///
+/// Every consumption style reads the same batch core (the merge's
+/// AppendRows, then the predicate filter):
+///   - NextBatch(): whole columnar batches (ScanBatch); consumers aggregate
+///     over flat per-column arrays.
 ///   - AggregateAll(): pushed aggregation. Folds count/sum/min/max per
 ///     projected column inside the scan without handing rows to the caller.
-///   - Valid()/Next()/values(): the classic per-row cursor, kept as a thin
-///     adapter that prefetches one row at a time from the same merge core.
-/// Use ONE style per iterator. Mixing NextBatch/AggregateAll with the
-/// per-row accessors asserts in debug builds; release builds invalidate the
-/// iterator instead — the misused call returns 0/false and status() reports
-/// InvalidArgument.
+///   - Valid()/Next()/key()/values(): one row at a time, read out of an
+///     internal batch.
+/// The styles mix freely: each call continues where the last one stopped.
 class ScanIterator {
  public:
+  /// A one-part scan over the rows <= `hi_key` that `impl` was positioned
+  /// at (LaserDB::NewScan builds it).
   ScanIterator(uint64_t hi_key, ColumnSet projection,
                std::vector<MemTable*> pinned_memtables,
                std::shared_ptr<const Version> pinned_version,
                std::unique_ptr<LevelMergingIterator> impl, Stats* stats = nullptr,
                WorkloadTrace* trace = nullptr, ScanSpec spec = {},
                std::vector<std::unique_ptr<ZoneMapScanFilter>> filters = {});
-  /// Flushes scan-path counters into the engine stats and reports the scan
-  /// to the trace collector (if any) with the number of rows actually
-  /// emitted as its selectivity.
+  /// Flushes each part's scan-path counters into its engine stats and
+  /// reports the part's scan to its trace collector (if any) with the number
+  /// of rows the caller consumed as its selectivity.
   ~ScanIterator();
 
   ScanIterator(const ScanIterator&) = delete;
   ScanIterator& operator=(const ScanIterator&) = delete;
+
+  /// Joins unconsumed scans over disjoint key ranges, given in ascending key
+  /// order and sharing one projection and spec, into one cursor that drains
+  /// them in turn. REQUIRES: `scans` is non-empty.
+  static std::unique_ptr<ScanIterator> Concat(
+      std::vector<std::unique_ptr<ScanIterator>> scans);
 
   /// Default fill size for NextBatch.
   static constexpr size_t kDefaultBatchRows = 1024;
@@ -390,12 +402,12 @@ class ScanIterator {
   /// stopping at the scan's upper bound; rows failing the scan's predicates
   /// (if any) are filtered out before the batch is returned, so a non-empty
   /// return contains only matches. Returns the rows appended; 0 means the
-  /// scan is exhausted (or, per the mode contract above, misused).
+  /// scan is exhausted (or failed; check status()).
   size_t NextBatch(ScanBatch* batch, size_t max_rows = kDefaultBatchRows);
 
   /// Drains the remaining scan, folding count/sum/min/max of every projected
   /// column over the matching rows, without materializing rows for the
-  /// caller. Consumes the iterator (batch style). Returns status().
+  /// caller; on a finished scan the aggregate is empty. Returns status().
   Status AggregateAll(ScanAggregates* out);
 
   bool Valid() const;
@@ -404,52 +416,58 @@ class ScanIterator {
   /// Current primary key. REQUIRES: Valid().
   uint64_t key() const;
 
-  /// Values parallel to the projection. REQUIRES: Valid().
+  /// Values parallel to the projection; nullopt = deleted or never written.
+  /// REQUIRES: Valid().
   const std::vector<std::optional<ColumnValue>>& values() const;
 
-  Status status() const {
-    if (!mode_error_.ok()) return mode_error_;
-    return impl_->status();
-  }
+  Status status() const;
   const ColumnSet& projection() const { return projection_; }
 
  private:
+  /// One engine's share of the scan, and the counters it reports back.
+  struct Part {
+    std::string hi_key_encoded;
+    std::vector<MemTable*> pinned_memtables;
+    std::shared_ptr<const Version> pinned_version;
+    // Sources inside `merge` hold raw pointers into `filters`: keep the
+    // filters declared first so they are destroyed last.
+    std::vector<std::unique_ptr<ZoneMapScanFilter>> filters;
+    std::unique_ptr<LevelMergingIterator> merge;
+    Stats* stats = nullptr;
+    WorkloadTrace* trace = nullptr;
+    uint64_t rows_emitted = 0;  ///< rows the caller consumed
+    uint64_t batches_emitted = 0;
+    uint64_t rows_filtered = 0;
+    uint64_t aggs_pushed = 0;
+    uint64_t aggs_from_zonemap = 0;
+    bool folds_taken = false;  ///< an AggregateAll merged the filters' folds
+  };
+
+  /// Clears `batch` and fills it with up to `max_rows` matching rows of the
+  /// current part, moving on to the next part when one is exhausted. Returns
+  /// the rows filled; 0 means every part is exhausted (or one failed).
+  size_t Fill(ScanBatch* batch, size_t max_rows);
+
   /// Drops batch rows failing any predicate: one mask pass per predicate
   /// over the flat column arrays, then a column-major compaction of the
   /// survivors.
   void FilterBatch(ScanBatch* batch);
 
-  /// Per-row adapter: advances the merge past rows failing the predicates so
-  /// both consumption styles see exactly the same rows.
-  void SkipNonMatchingRows();
-  bool RowMatchesPredicates() const;
-
   ColumnSet projection_;
-  std::string hi_key_encoded_;
   ScanSpec spec_;
   std::vector<size_t> pred_positions_;  // projection position per predicate
-  std::vector<MemTable*> pinned_memtables_;
-  std::shared_ptr<const Version> pinned_version_;
-  // Sources inside impl_ hold raw pointers into filters_: keep the filters
-  // declared first so they are destroyed last.
-  std::vector<std::unique_ptr<ZoneMapScanFilter>> filters_;
-  std::unique_ptr<LevelMergingIterator> impl_;
-  Stats* stats_;
-  WorkloadTrace* trace_;
-  uint64_t rows_emitted_ = 0;
-  uint64_t batches_emitted_ = 0;
-  uint64_t rows_filtered_ = 0;
-  uint64_t aggs_pushed_ = 0;
-  uint64_t aggs_from_zonemap_ = 0;
-  std::vector<uint8_t> filter_mask_;  // FilterBatch scratch
-  // Mode guard (one consumption style per iterator): the first NextBatch /
-  // AggregateAll locks batch mode, the first Valid() locks row mode; the
-  // per-row predicate skip runs lazily on the first Valid() so batch-style
-  // scans never pay for it.
-  bool batch_mode_ = false;
-  mutable bool row_mode_ = false;
-  mutable bool row_primed_ = false;
-  mutable Status mode_error_;
+  std::vector<Part> parts_;             // ascending key ranges
+  size_t current_ = 0;                  // the part being drained
+  std::vector<uint8_t> filter_mask_;    // FilterBatch scratch
+
+  // Per-row cursor: rows_[row_] is the current row. Valid() refills rows_
+  // on demand, so a scan read only in batches never fills it. Rows buffered
+  // here come from parts_[current_].
+  ScanBatch rows_;
+  size_t row_ = 0;
+  // values() materializes the current row on first use.
+  mutable std::vector<std::optional<ColumnValue>> row_values_;
+  mutable size_t row_values_of_ = SIZE_MAX;  // row_ that row_values_ holds
 };
 
 }  // namespace laser

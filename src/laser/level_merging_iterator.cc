@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstring>
 
 #include "util/coding.h"
 
@@ -16,68 +15,17 @@ LevelMergingIterator::LevelMergingIterator(
       predicate_positions_(std::move(predicate_positions)) {
   states_.resize(projection_size_);
   values_.resize(projection_size_);
-  row_.resize(projection_size_);
-}
-
-void LevelMergingIterator::SeekToFirst() {
-  for (auto& source : sources_) source->SeekToFirst();
-  heap_.Assign(sources_);
-  PrefetchRow();
 }
 
 void LevelMergingIterator::Seek(const Slice& target_user_key) {
   for (auto& source : sources_) source->Seek(target_user_key);
   heap_.Assign(sources_);
-  PrefetchRow();
-}
-
-void LevelMergingIterator::Next() {
-  assert(row_valid_);
-  PrefetchRow();
-}
-
-void LevelMergingIterator::PrefetchRow() {
-  row_batch_.Reset(projection_size_);
-  row_batch_.EnsureColumnCapacity(1);
-  row_valid_ = FillRows(&row_batch_, Slice(), 1) > 0;
-  if (!row_valid_) return;
-  row_key_encoded_ = EncodeKey64(row_batch_.keys[0]);
-  for (size_t pos = 0; pos < projection_size_; ++pos) {
-    if (row_batch_.columns[pos].present[0] != 0) {
-      row_[pos] = row_batch_.columns[pos].values[0];
-    } else {
-      row_[pos] = std::nullopt;
-    }
-  }
 }
 
 size_t LevelMergingIterator::AppendRows(ScanBatch* batch,
                                         const Slice& hi_inclusive,
                                         size_t max_rows) {
   batch->EnsureColumnCapacity(batch->keys.size() + max_rows);
-  size_t appended = 0;
-  if (row_valid_ && max_rows > 0) {
-    // Drain the row the per-row adapter prefetched (NewScan's initial Seek
-    // positions the merge, which materializes one row ahead).
-    row_valid_ = false;
-    if (!hi_inclusive.empty() &&
-        Slice(row_key_encoded_).compare(hi_inclusive) > 0) {
-      return 0;  // the prefetched row already lies beyond the scan range
-    }
-    const size_t row = batch->keys.size();
-    batch->keys.push_back(row_batch_.keys[0]);
-    for (size_t pos = 0; pos < projection_size_; ++pos) {
-      batch->columns[pos].present[row] = row_batch_.columns[pos].present[0];
-      batch->columns[pos].values[row] = row_batch_.columns[pos].values[0];
-    }
-    ++appended;
-  }
-  appended += FillRows(batch, hi_inclusive, max_rows - appended);
-  return appended;
-}
-
-size_t LevelMergingIterator::FillRows(ScanBatch* batch, const Slice& hi_inclusive,
-                                      size_t max_rows) {
   size_t appended = 0;
   while (appended < max_rows && !heap_.empty()) {
     const Slice top_key = heap_.top_key();
@@ -208,38 +156,15 @@ size_t LevelMergingIterator::ZipTiedRun(ScanBatch* batch,
                                         const Slice& limit_exclusive,
                                         const Slice& hi_inclusive,
                                         size_t max_rows) {
-  zip_views_.resize(tied_.size());
-  size_t cap = max_rows;
-  for (size_t i = 0; i < tied_.size(); ++i) {
-    const size_t n = sources_[tied_[i]]->AppendColumnRunTo(
-        &zip_views_[i], limit_exclusive, hi_inclusive, cap);
-    if (n == 0) return 0;
-    cap = std::min(cap, n);
-  }
-
-  // Longest common-key prefix across the tied runs (vectorized equality,
-  // divergence located only on mismatch). Per-index key equality is what
-  // makes "newest shadows the rest" hold row by row: at every spliced index
-  // all tied sources sit on the SAME user key, and lifecycle order says the
-  // newest source's committed full row wins it outright.
-  size_t rows = cap;
-  const uint64_t* keys0 = zip_views_[0].keys;
-  for (size_t i = 1; i < tied_.size() && rows > 0; ++i) {
-    const uint64_t* keys = zip_views_[i].keys;
-    if (memcmp(keys0, keys, rows * sizeof(uint64_t)) == 0) continue;
-    size_t j = 0;
-    while (j < rows && keys0[j] == keys[j]) ++j;
-    rows = j;
-  }
+  // Per-index key equality over the common prefix is what makes "newest
+  // shadows the rest" hold row by row: at every spliced index all tied
+  // sources sit on the SAME user key, and lifecycle order says the newest
+  // source's committed full row wins it outright.
+  const size_t rows = CommonColumnRun(sources_, tied_, limit_exclusive,
+                                      hi_inclusive, max_rows, &zip_views_);
   if (rows == 0) return 0;
-
-  const size_t row0 = batch->size();
-  batch->AppendDecodedKeys(keys0, rows);
-  const std::vector<int>& covered = *sources_[tied_[0]]->covered_positions();
-  for (size_t ci = 0; ci < covered.size(); ++ci) {
-    batch->SpliceColumnRun(static_cast<size_t>(covered[ci]), row0,
-                           zip_views_[0].cols[ci], rows);
-  }
+  SpliceRunView(batch, zip_views_[0], *sources_[tied_[0]]->covered_positions(),
+                rows);
   for (const int index : tied_) sources_[index]->ConsumeColumnRun(rows);
   counters_.rows_merged += rows;
   counters_.zip_rows += rows;

@@ -11,15 +11,13 @@
 // linear O(k) sweep per row. When the sole contributor is a level's
 // ColumnMergingIterator, the handoff continues at run granularity inside it
 // (the zip path: per-CG column runs spliced after a key-vector equality
-// check). The per-row API survives as a thin adapter that prefetches one
-// row at a time from the batched core.
+// check). There is no per-row API: ScanIterator reads its rows out of the
+// batches this core fills.
 
 #ifndef LASER_LASER_LEVEL_MERGING_ITERATOR_H_
 #define LASER_LASER_LEVEL_MERGING_ITERATOR_H_
 
 #include <memory>
-#include <optional>
-#include <string>
 #include <vector>
 
 #include "laser/contribution.h"
@@ -41,33 +39,19 @@ class LevelMergingIterator {
                        size_t projection_size,
                        std::vector<int> predicate_positions = {});
 
-  // -- batched core --
+  /// Positions every source at its first user key >= `target_user_key`.
+  /// Materializes no row: the first AppendRows does the merging.
+  void Seek(const Slice& target_user_key);
 
   /// Appends up to `max_rows` resolved rows with user key <= `hi_inclusive`
   /// (empty = unbounded) to `batch` and returns the number appended; 0 means
-  /// no further rows exist within the bound. Any row prefetched by the
-  /// per-row adapter is drained first; after the first AppendRows call the
-  /// per-row accessors below refer to an exhausted cursor.
+  /// no further rows exist within the bound. REQUIRES: Seek was called.
   ///
   /// This is the scan's single column-capacity growth site: it calls
   /// ScanBatch::EnsureColumnCapacity once up front, and every downstream
   /// fill (per-row fold, stretch emit, zip splice) writes by index within
   /// that bound.
   size_t AppendRows(ScanBatch* batch, const Slice& hi_inclusive, size_t max_rows);
-
-  // -- per-row adapter --
-
-  bool Valid() const { return row_valid_; }
-  void SeekToFirst();
-  void Seek(const Slice& target_user_key);
-  void Next();
-
-  /// Current user key. REQUIRES: Valid().
-  Slice user_key() const { return Slice(row_key_encoded_); }
-
-  /// Resolved values, parallel to Π; nullopt = deleted or never written.
-  /// REQUIRES: Valid().
-  const std::vector<std::optional<ColumnValue>>& row() const { return row_; }
 
   Status status() const;
 
@@ -82,9 +66,6 @@ class LevelMergingIterator {
   void set_arm_windows_always(bool arm) { arm_windows_always_ = arm; }
 
  private:
-  /// The heap-driven merge loop; ignores the per-row prefetch state.
-  size_t FillRows(ScanBatch* batch, const Slice& hi_inclusive, size_t max_rows);
-
   /// Combines the ≥2 sources tied at the smallest key into one row
   /// (first-non-absent-wins in priority order), then — when the newest tied
   /// source fully covers Π — chains zip rounds over the tied sources'
@@ -104,9 +85,6 @@ class LevelMergingIterator {
   size_t ZipTiedRun(ScanBatch* batch, const Slice& limit_exclusive,
                     const Slice& hi_inclusive, size_t max_rows);
 
-  /// Pulls the next row into the per-row adapter state.
-  void PrefetchRow();
-
   std::vector<std::unique_ptr<ContributionSource>> sources_;
   const size_t projection_size_;
   const std::vector<int> predicate_positions_;
@@ -119,12 +97,6 @@ class LevelMergingIterator {
   std::vector<ColumnState> states_;
   std::vector<ColumnValue> values_;
   std::vector<ColumnRunView> zip_views_;  // per-tied-source run windows
-
-  // Per-row adapter state.
-  bool row_valid_ = false;
-  ScanBatch row_batch_;
-  std::string row_key_encoded_;
-  std::vector<std::optional<ColumnValue>> row_;
 };
 
 }  // namespace laser

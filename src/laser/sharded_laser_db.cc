@@ -1,7 +1,6 @@
 #include "laser/sharded_laser_db.h"
 
 #include <algorithm>
-#include <cassert>
 #include <memory>
 #include <set>
 #include <string>
@@ -47,79 +46,6 @@ Status ReadCommittedXids(Env* env, const std::string& fname,
 }
 
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// ShardedScanIterator
-// ---------------------------------------------------------------------------
-
-ShardedScanIterator::ShardedScanIterator(
-    std::vector<std::unique_ptr<ScanIterator>> shards)
-    : shards_(std::move(shards)) {}
-
-size_t ShardedScanIterator::NextBatch(ScanBatch* batch, size_t max_rows) {
-  while (current_ < shards_.size()) {
-    const size_t n = shards_[current_]->NextBatch(batch, max_rows);
-    if (n > 0) return n;
-    if (!shards_[current_]->status().ok()) return 0;
-    ++current_;
-  }
-  return 0;
-}
-
-Status ShardedScanIterator::AggregateAll(ScanAggregates* out) {
-  *out = ScanAggregates();
-  bool first = true;
-  for (; current_ < shards_.size(); ++current_) {
-    ScanAggregates agg;
-    LASER_RETURN_IF_ERROR(shards_[current_]->AggregateAll(&agg));
-    if (first) {
-      *out = std::move(agg);
-      first = false;
-      continue;
-    }
-    assert(agg.counts.size() == out->counts.size());
-    out->rows += agg.rows;
-    for (size_t i = 0; i < out->counts.size(); ++i) {
-      out->counts[i] += agg.counts[i];
-      out->sums[i] += agg.sums[i];
-      out->minima[i] = std::min(out->minima[i], agg.minima[i]);
-      out->maxima[i] = std::max(out->maxima[i], agg.maxima[i]);
-    }
-  }
-  return Status::OK();
-}
-
-bool ShardedScanIterator::Valid() const {
-  while (current_ < shards_.size()) {
-    if (shards_[current_]->Valid()) return true;
-    if (!shards_[current_]->status().ok()) return false;
-    ++current_;
-  }
-  return false;
-}
-
-void ShardedScanIterator::Next() {
-  assert(Valid());
-  shards_[current_]->Next();
-}
-
-uint64_t ShardedScanIterator::key() const {
-  assert(Valid());
-  return shards_[current_]->key();
-}
-
-const std::vector<std::optional<ColumnValue>>& ShardedScanIterator::values()
-    const {
-  assert(Valid());
-  return shards_[current_]->values();
-}
-
-Status ShardedScanIterator::status() const {
-  for (const auto& shard : shards_) {
-    if (!shard->status().ok()) return shard->status();
-  }
-  return Status::OK();
-}
 
 // ---------------------------------------------------------------------------
 // ShardedLaserDB
@@ -313,26 +239,29 @@ Status ShardedLaserDB::Read(uint64_t key, const ColumnSet& projection,
   return shards_[router_.ShardOf(key)]->Read(key, projection, result);
 }
 
-std::unique_ptr<ShardedScanIterator> ShardedLaserDB::NewScan(
-    uint64_t lo_key, uint64_t hi_key, ColumnSet projection) {
+std::unique_ptr<ScanIterator> ShardedLaserDB::NewScan(uint64_t lo_key,
+                                                      uint64_t hi_key,
+                                                      ColumnSet projection) {
   return NewScan(lo_key, hi_key, std::move(projection), ScanSpec());
 }
 
-std::unique_ptr<ShardedScanIterator> ShardedLaserDB::NewScan(
-    uint64_t lo_key, uint64_t hi_key, ColumnSet projection, ScanSpec spec) {
+std::unique_ptr<ScanIterator> ShardedLaserDB::NewScan(uint64_t lo_key,
+                                                      uint64_t hi_key,
+                                                      ColumnSet projection,
+                                                      ScanSpec spec) {
   const int lo_shard = router_.ShardOf(lo_key);
   const int hi_shard =
       hi_key >= lo_key ? router_.ShardOf(hi_key) : lo_shard;
-  std::vector<std::unique_ptr<ScanIterator>> iterators;
-  iterators.reserve(hi_shard - lo_shard + 1);
+  std::vector<std::unique_ptr<ScanIterator>> scans;
+  scans.reserve(hi_shard - lo_shard + 1);
   for (int i = lo_shard; i <= hi_shard; ++i) {
     const uint64_t shard_lo = std::max(lo_key, router_.shard_lo(i));
     const uint64_t shard_hi = std::min(hi_key, router_.shard_hi(i));
-    auto iter = shards_[i]->NewScan(shard_lo, shard_hi, projection, spec);
-    if (iter == nullptr) return nullptr;  // invalid projection/spec
-    iterators.push_back(std::move(iter));
+    auto scan = shards_[i]->NewScan(shard_lo, shard_hi, projection, spec);
+    if (scan == nullptr) return nullptr;  // invalid projection/spec
+    scans.push_back(std::move(scan));
   }
-  return std::make_unique<ShardedScanIterator>(std::move(iterators));
+  return ScanIterator::Concat(std::move(scans));
 }
 
 Status ShardedLaserDB::Flush() {

@@ -23,10 +23,9 @@
 // guarantee here is crash atomicity, not snapshot isolation across shards.
 //
 // Scans: shard ranges are disjoint and ordered, so the k-way merge across
-// shards degenerates to concatenation — ShardedScanIterator drains each
-// per-shard ScanIterator (which runs the full SourceMinHeap merge inside its
-// shard) in shard order, preserving NextBatch, pushdown, and AggregateAll
-// semantics unchanged.
+// shards degenerates to concatenation — a sharded scan is one ScanIterator
+// whose parts are the overlapping shards' scans (each runs the full
+// SourceMinHeap merge inside its shard), drained in shard order.
 
 #ifndef LASER_LASER_SHARDED_LASER_DB_H_
 #define LASER_LASER_SHARDED_LASER_DB_H_
@@ -60,39 +59,6 @@ struct ShardedLaserOptions {
   std::vector<uint64_t> split_points;
 };
 
-/// Cursor over a cross-shard range scan: per-shard ScanIterators drained in
-/// ascending shard order. Same consumption contract as ScanIterator — pick
-/// ONE of NextBatch / AggregateAll / per-row and stick to it.
-class ShardedScanIterator {
- public:
-  explicit ShardedScanIterator(
-      std::vector<std::unique_ptr<ScanIterator>> shards);
-
-  ShardedScanIterator(const ShardedScanIterator&) = delete;
-  ShardedScanIterator& operator=(const ShardedScanIterator&) = delete;
-
-  static constexpr size_t kDefaultBatchRows = ScanIterator::kDefaultBatchRows;
-
-  /// Fills `batch` from the current shard, hopping to the next shard when
-  /// one drains. Returns 0 when every shard is exhausted (or on error; check
-  /// status()).
-  size_t NextBatch(ScanBatch* batch, size_t max_rows = kDefaultBatchRows);
-
-  /// Folds pushed aggregates over every shard's remainder.
-  Status AggregateAll(ScanAggregates* out);
-
-  bool Valid() const;
-  void Next();
-  uint64_t key() const;
-  const std::vector<std::optional<ColumnValue>>& values() const;
-
-  Status status() const;
-
- private:
-  std::vector<std::unique_ptr<ScanIterator>> shards_;  // ascending key ranges
-  mutable size_t current_ = 0;
-};
-
 class ShardedLaserDB {
  public:
   static Status Open(const ShardedLaserOptions& options,
@@ -118,15 +84,12 @@ class ShardedLaserDB {
               LaserDB::ReadResult* result);
 
   /// Range scan over [lo_key, hi_key]: fans out to every overlapping shard
-  /// and concatenates. Returns nullptr on an invalid projection/spec, as
-  /// LaserDB::NewScan does.
-  std::unique_ptr<ShardedScanIterator> NewScan(uint64_t lo_key,
-                                               uint64_t hi_key,
-                                               ColumnSet projection);
-  std::unique_ptr<ShardedScanIterator> NewScan(uint64_t lo_key,
-                                               uint64_t hi_key,
-                                               ColumnSet projection,
-                                               ScanSpec spec);
+  /// and concatenates (ScanIterator::Concat). Returns nullptr on an invalid
+  /// projection/spec, as LaserDB::NewScan does.
+  std::unique_ptr<ScanIterator> NewScan(uint64_t lo_key, uint64_t hi_key,
+                                        ColumnSet projection);
+  std::unique_ptr<ScanIterator> NewScan(uint64_t lo_key, uint64_t hi_key,
+                                        ColumnSet projection, ScanSpec spec);
 
   // -- maintenance (sequential over shards; first error wins) --
   Status Flush();

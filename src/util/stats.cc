@@ -11,7 +11,6 @@ void Stats::AddCountersTo(Stats* out) const {
                  std::memory_order_relaxed);
   };
   add(data_block_reads, out->data_block_reads);
-  add(index_block_reads, out->index_block_reads);
   add(block_cache_hits, out->block_cache_hits);
   add(block_cache_misses, out->block_cache_misses);
   add(bloom_checks, out->bloom_checks);
@@ -80,7 +79,7 @@ void Stats::AddCountersTo(Stats* out) const {
 std::string Stats::ToString() const {
   char buf[768];
   snprintf(buf, sizeof(buf),
-           "data_blocks=%llu index_blocks=%llu cache_hit=%llu cache_miss=%llu "
+           "data_blocks=%llu cache_hit=%llu cache_miss=%llu "
            "bloom_neg=%llu/%llu bloom_fp=%llu filter_bytes=%llu "
            "flushed=%lluB compacted=%lluB "
            "compactions=%llu stalls=%lluus wal_groups=%llu/%llu wal_syncs=%llu "
@@ -89,7 +88,6 @@ std::string Stats::ToString() const {
            "zonemap_skips=%llu zonemap_file_skips=%llu pushdown_filtered=%llu "
            "aggs_pushed=%llu cache_shards=%llu",
            static_cast<unsigned long long>(data_block_reads.load()),
-           static_cast<unsigned long long>(index_block_reads.load()),
            static_cast<unsigned long long>(block_cache_hits.load()),
            static_cast<unsigned long long>(block_cache_misses.load()),
            static_cast<unsigned long long>(bloom_negatives.load()),

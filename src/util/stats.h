@@ -23,7 +23,6 @@ class Stats {
 
   // -- read path --
   std::atomic<uint64_t> data_block_reads{0};   ///< data blocks fetched
-  std::atomic<uint64_t> index_block_reads{0};  ///< index blocks fetched
   std::atomic<uint64_t> block_cache_hits{0};
   std::atomic<uint64_t> block_cache_misses{0};
   std::atomic<uint64_t> bloom_checks{0};
@@ -134,7 +133,6 @@ class Stats {
 
   void Reset() {
     data_block_reads = 0;
-    index_block_reads = 0;
     block_cache_hits = 0;
     block_cache_misses = 0;
     bloom_checks = 0;

@@ -220,11 +220,5 @@ TEST(BloomAllocationTest, ExplicitTotalBudgetOverridesBitsPerKey) {
   }
 }
 
-TEST(BloomAllocationTest, LazyLevelingKnobIsRejectedUntilImplemented) {
-  LaserOptions options = BaseOptions();
-  options.lazy_leveling_last_level = true;
-  EXPECT_TRUE(options.Finalize().IsInvalidArgument());
-}
-
 }  // namespace
 }  // namespace laser

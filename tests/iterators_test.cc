@@ -317,12 +317,16 @@ TEST_F(StitchTest, LevelMergingNewestSourceWins) {
   sources.push_back(MakeSource(std::move(lower), all, proj));
   LevelMergingIterator merged(std::move(sources), proj.size());
 
-  merged.SeekToFirst();
-  ASSERT_TRUE(merged.Valid());
-  EXPECT_EQ(*merged.row()[0], 111u);  // from the upper level
-  EXPECT_EQ(*merged.row()[1], 2u);    // stitched from the lower level
-  merged.Next();
-  EXPECT_FALSE(merged.Valid());
+  merged.Seek(EncodeKey64(0));
+  ScanBatch batch;
+  batch.Reset(proj.size());
+  ASSERT_EQ(merged.AppendRows(&batch, Slice(), 16), 1u);
+  EXPECT_EQ(batch.keys[0], 1u);
+  ASSERT_TRUE(batch.columns[0].present[0]);
+  EXPECT_EQ(batch.columns[0].values[0], 111u);  // from the upper level
+  ASSERT_TRUE(batch.columns[1].present[0]);
+  EXPECT_EQ(batch.columns[1].values[0], 2u);  // stitched from the lower level
+  EXPECT_EQ(merged.AppendRows(&batch, Slice(), 16), 0u);
 }
 
 TEST_F(StitchTest, LevelMergingSkipsFullyDeletedRows) {
@@ -340,11 +344,12 @@ TEST_F(StitchTest, LevelMergingSkipsFullyDeletedRows) {
   sources.push_back(MakeSource(std::move(lower), all, proj));
   LevelMergingIterator merged(std::move(sources), proj.size());
 
-  merged.SeekToFirst();
-  ASSERT_TRUE(merged.Valid());
-  EXPECT_EQ(DecodeKey64(merged.user_key()), 2u);  // key 1 deleted
-  merged.Next();
-  EXPECT_FALSE(merged.Valid());
+  merged.Seek(EncodeKey64(0));
+  ScanBatch batch;
+  batch.Reset(proj.size());
+  ASSERT_EQ(merged.AppendRows(&batch, Slice(), 16), 1u);
+  EXPECT_EQ(batch.keys[0], 2u);  // key 1 deleted
+  EXPECT_EQ(merged.AppendRows(&batch, Slice(), 16), 0u);
 }
 
 TEST_F(StitchTest, LevelMergingSeek) {
@@ -358,8 +363,10 @@ TEST_F(StitchTest, LevelMergingSeek) {
   sources.push_back(MakeSource(std::move(data), all, {1}));
   LevelMergingIterator merged(std::move(sources), 1);
   merged.Seek(EncodeKey64(7));
-  ASSERT_TRUE(merged.Valid());
-  EXPECT_EQ(DecodeKey64(merged.user_key()), 7u);
+  ScanBatch batch;
+  batch.Reset(1);
+  ASSERT_EQ(merged.AppendRows(&batch, Slice(), 1), 1u);
+  EXPECT_EQ(batch.keys[0], 7u);
 }
 
 }  // namespace

@@ -11,9 +11,11 @@
 #include <map>
 #include <optional>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "laser/laser_db.h"
+#include "laser/sharded_laser_db.h"
 #include "tests/test_util.h"
 #include "util/random.h"
 
@@ -663,55 +665,229 @@ TEST(ScanPushdownTest, PredicateColumnMustBeProjected) {
   EXPECT_NE(db->NewScan(0, 100, {1, 2, 3}, spec), nullptr);
 }
 
-// Mode-mixing regression: a ScanIterator is either a batch cursor or a row
-// cursor, never both — the two consumption styles share one underlying merge
-// and mixing them silently skipped rows before the guard existed. In release
-// builds (the default RelWithDebInfo defines NDEBUG) the misused call is
-// inert and status() reports InvalidArgument; debug builds assert instead,
-// so the release-path expectations are compiled out there.
-TEST(ScanPushdownTest, MixingBatchAndRowModesIsAnError) {
-#ifdef NDEBUG
+/// Consumes `scan` in a fixed interleaving of styles — Valid/Next runs and
+/// NextBatch at batch sizes 1, 5 and 173 — until two thirds of `expected`
+/// are consumed, then folds the rest with AggregateAll. Every row must be
+/// consumed exactly once, in key order, and the aggregate must cover exactly
+/// the rows left. Returns the last key consumed before the aggregate.
+uint64_t CheckMixedStyles(ScanIterator* scan,
+                          const std::vector<ResultRow>& expected,
+                          const std::string& what) {
+  struct Step {
+    bool rows;     // true: Valid/Next; false: one NextBatch
+    size_t count;  // rows to step over, or the batch size
+  };
+  const std::vector<Step> script = {{true, 3},  {false, 1},   {false, 5},
+                                    {true, 1},  {false, 173}, {true, 40},
+                                    {false, 5}, {true, 17}};
+  const size_t width = scan->projection().size();
+  const size_t stop = expected.size() * 2 / 3;
+  std::vector<ResultRow> got;
+  ScanBatch batch;
+  bool exhausted = false;
+  for (size_t s = 0; got.size() < stop && !exhausted; ++s) {
+    const Step& step = script[s % script.size()];
+    if (step.rows) {
+      for (size_t i = 0; i < step.count; ++i, scan->Next()) {
+        if (!scan->Valid()) {
+          exhausted = true;
+          break;
+        }
+        got.push_back(ResultRow{scan->key(), scan->values()});
+      }
+      continue;
+    }
+    const size_t n = scan->NextBatch(&batch, step.count);
+    EXPECT_LE(n, step.count) << what;
+    exhausted = n == 0;
+    for (size_t i = 0; i < n; ++i) {
+      ResultRow row{batch.keys[i], {}};
+      for (size_t c = 0; c < width; ++c) {
+        if (batch.columns[c].present[i]) {
+          row.values.emplace_back(batch.columns[c].values[i]);
+        } else {
+          row.values.emplace_back(std::nullopt);
+        }
+      }
+      got.push_back(std::move(row));
+    }
+  }
+  EXPECT_FALSE(exhausted) << what << ": scan ended early";
+  EXPECT_LE(got.size(), expected.size()) << what;
+  const size_t consumed = std::min(got.size(), expected.size());
+  const std::vector<ResultRow> want_prefix(expected.begin(),
+                                           expected.begin() + consumed);
+  EXPECT_EQ(got, want_prefix) << what << ": consumed rows got "
+                              << Describe(got) << " want "
+                              << Describe(want_prefix);
+
+  const std::vector<ResultRow> rest(expected.begin() + consumed,
+                                    expected.end());
+  const ScanAggregates want = FoldRows(rest, width);
+  ScanAggregates aggs;
+  EXPECT_TRUE(scan->AggregateAll(&aggs).ok()) << what;
+  EXPECT_EQ(aggs.rows, want.rows) << what << ": aggregate row count";
+  EXPECT_EQ(aggs.counts, want.counts) << what << ": aggregate counts";
+  EXPECT_EQ(aggs.sums, want.sums) << what << ": aggregate sums";
+  EXPECT_EQ(aggs.minima, want.minima) << what << ": aggregate minima";
+  EXPECT_EQ(aggs.maxima, want.maxima) << what << ": aggregate maxima";
+  EXPECT_FALSE(scan->Valid()) << what << ": rows left after AggregateAll";
+  EXPECT_EQ(scan->NextBatch(&batch), 0u) << what;
+  // A finished scan aggregates nothing more, zone-map folds included.
+  EXPECT_TRUE(scan->AggregateAll(&aggs).ok()) << what;
+  EXPECT_EQ(aggs.rows, 0u) << what << ": second AggregateAll";
+  EXPECT_TRUE(scan->status().ok()) << what;
+  return got.empty() ? 0 : got.back().key;
+}
+
+// Runs CheckMixedStyles over several projections, predicates and ranges on
+// `db` and on `sharded`, which hold the same rows as `model`.
+void CheckAllStyles(LaserDB* db, ShardedLaserDB* sharded, const Model& model) {
+  const uint64_t shard0_hi = sharded->router().shard_hi(0);
+  const std::vector<ColumnSet> projections = {MakeColumnRange(1, kColumns),
+                                              {1, 2, 3}};
+  for (const ColumnSet& projection : projections) {
+    std::vector<ScanSpec> specs(3);
+    specs[1].predicates.push_back({2, PredOp::kLt, 1u << 29, 0});
+    specs[2].predicates.push_back(
+        {projection.back(), PredOp::kBetween, 1u << 27, 3u << 28});
+    for (size_t si = 0; si < specs.size(); ++si) {
+      const ScanSpec& spec = specs[si];
+      for (const auto& [lo, hi] : {std::pair<uint64_t, uint64_t>{0, kKeySpace},
+                                   {150, 520}}) {
+        const auto expected =
+            FilterRows(ModelScan(model, lo, hi, projection), projection, spec);
+        ASSERT_GT(expected.size(), 30u);
+        const std::string what = "width=" + std::to_string(projection.size()) +
+                                  " spec=" + std::to_string(si) + " [" +
+                                  std::to_string(lo) + "," +
+                                  std::to_string(hi) + "]";
+
+        const uint64_t emitted = db->stats().scan_rows_emitted.load();
+        {
+          auto scan = db->NewScan(lo, hi, projection, spec);
+          ASSERT_NE(scan, nullptr);
+          CheckMixedStyles(scan.get(), expected, what);
+        }
+        EXPECT_EQ(db->stats().scan_rows_emitted.load() - emitted,
+                  expected.size())
+            << what;
+
+        Stats before;
+        sharded->AggregateStats(&before);
+        {
+          auto scan = sharded->NewScan(lo, hi, projection, spec);
+          ASSERT_NE(scan, nullptr);
+          // The styles interleave across the first shard boundary.
+          EXPECT_GT(CheckMixedStyles(scan.get(), expected, "sharded " + what),
+                    shard0_hi);
+        }
+        Stats after;
+        sharded->AggregateStats(&after);
+        EXPECT_EQ(after.scan_rows_emitted.load() -
+                      before.scan_rows_emitted.load(),
+                  expected.size())
+            << "sharded " << what;
+      }
+    }
+  }
+}
+
+// The consumption styles mix on one iterator: each call continues where the
+// last one stopped, with and without predicates, on one engine and across
+// the shards of a ShardedLaserDB. Every consumed row — read, batched or
+// aggregated — is counted once in scan_rows_emitted.
+TEST(ScanPushdownTest, ConsumptionStylesMixOnOneIterator) {
   auto env = NewMemEnv();
-  LaserOptions options = test::TinyTreeOptions(env.get(), "/db", 4, 3);
+  LaserOptions options =
+      test::TinyTreeOptions(env.get(), "/db", kColumns, kLevels);
+  options.cg_config = CgConfig::EquiWidth(kColumns, kLevels, 3);
   std::unique_ptr<LaserDB> db;
   ASSERT_TRUE(LaserDB::Open(options, &db).ok());
-  for (uint64_t k = 0; k < 50; ++k) {
-    ASSERT_TRUE(db->Insert(k, test::TestRow(k, 4)).ok());
-  }
+  ShardedLaserOptions sharded_options;
+  sharded_options.base = options;
+  sharded_options.base.path = "/sharded";
+  sharded_options.num_shards = 3;
+  sharded_options.key_domain = kKeySpace;
+  // A shard takes a third of the writes: a third of the write buffer flushes
+  // it as often as the single engine, so its settled rows leave level 0 and
+  // zone-map folds fire on the shards too.
+  sharded_options.base.write_buffer_size /= 3;
+  std::unique_ptr<ShardedLaserDB> sharded;
+  ASSERT_TRUE(ShardedLaserDB::Open(sharded_options, &sharded).ok());
 
-  {
-    // Batch first: the row API is then off limits.
-    auto scan = db->NewScan(0, 49, {1, 2});
-    ScanBatch batch;
-    ASSERT_GT(scan->NextBatch(&batch, 8), 0u);
-    EXPECT_FALSE(scan->Valid());
-    EXPECT_FALSE(scan->status().ok());
-    // The batch side keeps working; the error sticks in status().
-    EXPECT_GT(scan->NextBatch(&batch, 8), 0u);
-    EXPECT_FALSE(scan->status().ok());
+  // Settled CG runs below (the zip paths' steady state), then a second
+  // round of writes on top so memtables and L0 overlap them. The first round
+  // deletes nothing, so the settled blocks hold one version per key and
+  // AggregateAll can fold them from their zone maps.
+  Random rng(0x3d1c);
+  Model model;
+  for (int round = 0; round < 2; ++round) {
+    for (int op = 0; op < 1200; ++op) {
+      const uint64_t key = rng.Uniform(kKeySpace);
+      const uint32_t kind = rng.Uniform(10);
+      if (kind < 7) {
+        std::vector<ColumnValue> row(kColumns);
+        for (int c = 0; c < kColumns; ++c) row[c] = rng.Uniform(1u << 30);
+        ASSERT_TRUE(db->Insert(key, row).ok());
+        ASSERT_TRUE(sharded->Insert(key, row).ok());
+        ModelRow& mrow = model[key];
+        mrow.clear();
+        for (int c = 0; c < kColumns; ++c) mrow[c + 1] = row[c];
+      } else if (kind < 9 || round == 0) {
+        const std::vector<ColumnValuePair> values = {
+            {2, rng.Uniform(1u << 30)}, {7, rng.Uniform(1u << 30)}};
+        ASSERT_TRUE(db->Update(key, values).ok());
+        ASSERT_TRUE(sharded->Update(key, values).ok());
+        for (const auto& pair : values) model[key][pair.column] = pair.value;
+      } else {
+        ASSERT_TRUE(db->Delete(key).ok());
+        ASSERT_TRUE(sharded->Delete(key).ok());
+        model.erase(key);
+      }
+    }
+    if (round == 0) {
+      ASSERT_TRUE(db->CompactUntilStable().ok());
+      ASSERT_TRUE(sharded->CompactUntilStable().ok());
+      ASSERT_NO_FATAL_FAILURE(CheckAllStyles(db.get(), sharded.get(), model));
+      // On the settled tree AggregateAll folds blocks from zone maps; a
+      // second AggregateAll on the finished scan must not fold them in again.
+      const ColumnSet projection = {1, 2, 3};
+      const auto expected = ModelScan(model, 0, kKeySpace, projection);
+      const ScanAggregates want = FoldRows(expected, projection.size());
+      // {zone-map folds, rows emitted} of one engine or of all shards.
+      const auto counters = [&](bool of_shards) {
+        if (!of_shards) {
+          return std::pair(db->stats().aggs_from_zonemap.load(),
+                           db->stats().scan_rows_emitted.load());
+        }
+        Stats stats;
+        sharded->AggregateStats(&stats);
+        return std::pair(stats.aggs_from_zonemap.load(),
+                         stats.scan_rows_emitted.load());
+      };
+      for (const bool of_shards : {false, true}) {
+        const std::string what = of_shards ? "sharded" : "one engine";
+        const auto before = counters(of_shards);
+        {
+          auto scan = of_shards ? sharded->NewScan(0, kKeySpace, projection)
+                                : db->NewScan(0, kKeySpace, projection);
+          ASSERT_NE(scan, nullptr) << what;
+          ScanAggregates aggs;
+          ASSERT_TRUE(scan->AggregateAll(&aggs).ok()) << what;
+          EXPECT_EQ(aggs.rows, want.rows) << what;
+          EXPECT_EQ(aggs.sums, want.sums) << what;
+          ASSERT_TRUE(scan->AggregateAll(&aggs).ok()) << what;
+          EXPECT_EQ(aggs.rows, 0u) << what << ": second AggregateAll";
+        }
+        const auto after = counters(of_shards);
+        EXPECT_GT(after.first, before.first)
+            << what << ": no zone-map fold on the settled tree";
+        EXPECT_EQ(after.second - before.second, expected.size()) << what;
+      }
+    }
   }
-  {
-    // Row first: NextBatch and AggregateAll are then off limits.
-    auto scan = db->NewScan(0, 49, {1, 2});
-    ASSERT_TRUE(scan->Valid());
-    ScanBatch batch;
-    EXPECT_EQ(scan->NextBatch(&batch, 8), 0u);
-    EXPECT_FALSE(scan->status().ok());
-    ScanAggregates aggs;
-    EXPECT_FALSE(scan->AggregateAll(&aggs).ok());
-  }
-  {
-    // AggregateAll is a batch-mode consumer.
-    auto scan = db->NewScan(0, 49, {1, 2});
-    ScanAggregates aggs;
-    ASSERT_TRUE(scan->AggregateAll(&aggs).ok());
-    EXPECT_EQ(aggs.rows, 50u);
-    EXPECT_FALSE(scan->Valid());
-    EXPECT_FALSE(scan->status().ok());
-  }
-#else
-  GTEST_SKIP() << "debug builds assert on mode mixing";
-#endif
+  ASSERT_NO_FATAL_FAILURE(CheckAllStyles(db.get(), sharded.get(), model));
 }
 
 // Zone-map aggregation fold: over a compacted tree, AggregateAll answers
