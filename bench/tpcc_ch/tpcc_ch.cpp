@@ -94,7 +94,6 @@ bool RunCell(const std::string& path, const TpccSpec& spec, int shards,
 
   Stats before_stats;
   db->AggregateStats(&before_stats);
-  const EngineStatsSnapshot before = EngineStatsSnapshot::Capture(before_stats);
 
   const uint64_t t0 = env->NowMicros();
   std::vector<std::thread> threads;
@@ -197,7 +196,7 @@ bool RunCell(const std::string& path, const TpccSpec& spec, int shards,
 
   Stats after_stats;
   db->AggregateStats(&after_stats);
-  AppendEngineStatsFields(after_stats, &out->engine_fields, before);
+  AppendEngineStatsFields(after_stats, &out->engine_fields, before_stats);
 
   db.reset();
   env->RemoveDir(path);

@@ -136,7 +136,10 @@ std::string WorkloadTrace::ToString() const {
   std::string out = "inserts=" + std::to_string(inserts_) + "\n";
   for (const auto& [proj, by_level] : point_reads_) {
     out += "read <" + ColumnSetToString(proj) + ">:";
-    for (uint64_t n : by_level) out += " " + std::to_string(n);
+    for (uint64_t n : by_level) {
+      out += " ";
+      out += std::to_string(n);
+    }
     out += "\n";
   }
   for (const auto& [proj, stats] : range_scans_) {

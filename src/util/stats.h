@@ -8,7 +8,89 @@
 
 #include <atomic>
 #include <cstdint>
+#include <span>
 #include <string>
+#include <type_traits>
+
+// Every Stats entry, once, in member order: X(name, shape, rule).
+//   shape: Scalar, Level (kStatsLevels slots; deeper levels clamp into the
+//          last, L0 is level 0) or Column (kStatsColumns slots, see
+//          Stats::ColumnSlot).
+//   rule:  Counter (Reset zeroes it, aggregation sums it), GaugeSum (Reset
+//          keeps it, aggregation sums it) or GaugeMax (Reset keeps it,
+//          aggregation takes the max: shards run the same configuration).
+// The members, Reset, AddCountersTo and ToString are generated from this
+// list, so adding a counter is one line here. The order is the members'
+// memory layout: hot counters that share a cache line stay together.
+// clang-format off
+#define LASER_STATS_TABLE(X)                                                       \
+  /* -- read path -- */                                                            \
+  X(data_block_reads, Scalar, Counter) /* data blocks fetched */                   \
+  X(block_cache_hits, Scalar, Counter)                                             \
+  X(block_cache_misses, Scalar, Counter)                                           \
+  X(bloom_checks, Scalar, Counter)                                                 \
+  X(bloom_negatives, Scalar, Counter) /* lookups short-circuited */                \
+  /* Filter said "maybe" but the block probe found no version of the key. Only the \
+     point-read walk in LaserDB::Read can tell, so only it counts. */              \
+  X(bloom_false_positives, Scalar, Counter)                                        \
+  X(point_reads, Scalar, Counter)                                                  \
+  X(range_scans, Scalar, Counter)                                                  \
+  /* Point reads resolved at each level (0 = memtable/L0). Feeds the advisor's     \
+     per-level read histogram. */                                                  \
+  X(point_reads_by_level, Level, Counter)                                          \
+  /* -- per-column workload telemetry (feeds BuildTraceFromStats; accumulated once \
+     per scan / point read / update op, not per row) -- */                         \
+  X(scan_projected_by_column, Column, Counter)  /* scans projecting the column */  \
+  X(point_projected_by_column, Column, Counter) /* found point reads, same */      \
+  X(updated_by_column, Column, Counter)         /* update ops that wrote it */     \
+  X(inserts, Scalar, Counter)                   /* full-row inserts */             \
+  X(updates, Scalar, Counter)                   /* partial-row update ops */       \
+  /* Rows handed to scan consumers after pushdown filtering (per scan, this is the \
+     selectivity). */                                                              \
+  X(scan_rows_emitted, Scalar, Counter)                                            \
+  /* -- per-level filter telemetry (probes from the point-read walk) -- */         \
+  X(bloom_checks_by_level, Level, Counter)                                         \
+  X(bloom_negatives_by_level, Level, Counter)                                      \
+  X(bloom_false_positives_by_level, Level, Counter)                                \
+  /* -- scan path (batched merge; flushed per scan, not per row) -- */             \
+  X(scan_rows_merged, Scalar, Counter)     /* rows emitted by merges */            \
+  X(scan_batches_emitted, Scalar, Counter) /* non-empty NextBatch fills */         \
+  X(scan_source_advances, Scalar, Counter) /* contribution-source steps */         \
+  X(scan_heap_resifts, Scalar, Counter)    /* k-way-merge heap repairs */          \
+  X(scan_zip_rows, Scalar, Counter)        /* rows spliced run-at-a-time */        \
+  X(scan_zip_splices, Scalar, Counter)     /* successful zip rounds */             \
+  /* -- scan pushdown (predicates, zone maps, pushed aggregates) -- */             \
+  X(blocks_skipped_zonemap, Scalar, Counter) /* data blocks never read */          \
+  X(files_skipped_zonemap, Scalar, Counter)  /* files never opened */              \
+  X(rows_filtered_pushdown, Scalar, Counter) /* rows dropped by predicates */      \
+  X(aggs_pushed, Scalar, Counter)            /* aggregates folded in-scan */       \
+  /* Blocks whose aggregates were folded straight from the zone map: every row     \
+     provably matched, so the block was never read or decoded. */                  \
+  X(aggs_from_zonemap, Scalar, Counter)                                            \
+  /* -- adaptive design (online advisor + in-flight morphing) -- */                \
+  X(design_morph_compactions, Scalar, Counter) /* level re-layout jobs */          \
+  /* Morph installs after which every level matches the persisted target. */       \
+  X(design_morphs_completed, Scalar, Counter)                                      \
+  /* Shard count the block cache runs with after the min-bytes-per-shard clamp     \
+     (set at open; tiny caches silently run fewer shards than requested). */       \
+  X(block_cache_effective_shards, Scalar, GaugeMax)                                \
+  /* -- filter memory (refreshed at every version install): serialized filter      \
+     bytes live per level and in total, and the configured bits-per-key ×1000 so   \
+     fractional Monkey allocations survive the integer slot -- */                  \
+  X(filter_bytes_by_level, Level, GaugeSum)                                        \
+  X(filter_bytes_total, Scalar, GaugeSum)                                          \
+  X(bloom_millibits_by_level, Level, GaugeMax)                                     \
+  /* -- write path -- */                                                           \
+  X(bytes_written_wal, Scalar, Counter)                                            \
+  X(wal_syncs, Scalar, Counter)          /* fsyncs issued on the WAL */            \
+  X(wal_group_commits, Scalar, Counter)  /* commit groups the leader ran */        \
+  X(wal_group_writes, Scalar, Counter)   /* WriteBatches across all groups */      \
+  X(bytes_flushed, Scalar, Counter)      /* memtable -> L0 bytes */                \
+  X(bytes_compacted, Scalar, Counter)    /* compaction output bytes */             \
+  X(compaction_jobs, Scalar, Counter)                                              \
+  X(flush_jobs, Scalar, Counter)                                                   \
+  X(write_stall_micros, Scalar, Counter) /* time writers waited */
+// clang-format on
 
 namespace laser {
 
@@ -21,20 +103,18 @@ class Stats {
   /// into the last slot).
   static constexpr int kStatsColumns = 128;
 
-  // -- read path --
-  std::atomic<uint64_t> data_block_reads{0};   ///< data blocks fetched
-  std::atomic<uint64_t> block_cache_hits{0};
-  std::atomic<uint64_t> block_cache_misses{0};
-  std::atomic<uint64_t> bloom_checks{0};
-  std::atomic<uint64_t> bloom_negatives{0};  ///< lookups short-circuited
-  /// Filter said "maybe" but the block probe found no version of the key.
-  /// Only the point-read walk in LaserDB::Read can tell, so only it counts.
-  std::atomic<uint64_t> bloom_false_positives{0};
-  std::atomic<uint64_t> point_reads{0};
-  std::atomic<uint64_t> range_scans{0};
-  /// Point reads resolved at each level (0 = memtable/L0; clamps like the
-  /// filter arrays). Feeds the advisor's per-level read histogram.
-  std::atomic<uint64_t> point_reads_by_level[kStatsLevels] = {};
+  enum class Shape { kScalar, kLevel, kColumn };
+  enum class Rule { kCounter, kGaugeSum, kGaugeMax };
+
+#define LASER_STATS_MEMBER_Scalar(name) std::atomic<uint64_t> name{0};
+#define LASER_STATS_MEMBER_Level(name) std::atomic<uint64_t> name[kStatsLevels] = {};
+#define LASER_STATS_MEMBER_Column(name) std::atomic<uint64_t> name[kStatsColumns] = {};
+#define LASER_STATS_MEMBER(name, shape, rule) LASER_STATS_MEMBER_##shape(name)
+  LASER_STATS_TABLE(LASER_STATS_MEMBER)
+#undef LASER_STATS_MEMBER
+#undef LASER_STATS_MEMBER_Column
+#undef LASER_STATS_MEMBER_Level
+#undef LASER_STATS_MEMBER_Scalar
 
   /// Clamps a 1-based column id into the per-column arrays.
   static int ColumnSlot(int column) {
@@ -43,146 +123,35 @@ class Stats {
     return column - 1;
   }
 
-  // -- per-column workload telemetry (feeds BuildTraceFromStats; accumulated
-  //    once per scan / point read / update op, not per row) --
-  /// Scans whose projection included the column.
-  std::atomic<uint64_t> scan_projected_by_column[kStatsColumns] = {};
-  /// Found point reads whose projection included the column.
-  std::atomic<uint64_t> point_projected_by_column[kStatsColumns] = {};
-  /// Update ops that wrote the column.
-  std::atomic<uint64_t> updated_by_column[kStatsColumns] = {};
-  std::atomic<uint64_t> inserts{0};  ///< full-row inserts
-  std::atomic<uint64_t> updates{0};  ///< partial-row update ops
-  /// Rows handed to scan consumers after pushdown filtering (selectivity =
-  /// scan_rows_emitted / range_scans).
-  std::atomic<uint64_t> scan_rows_emitted{0};
+  /// Calls f(name, shape, rule, member) for every table entry, in table order;
+  /// `member` is a pointer to the Stats member (pass `s.*member` to Slots).
+  template <typename F>
+  static void ForEachEntry(F&& f) {
+#define LASER_STATS_VISIT(name, shape, rule) \
+  f(#name, Shape::k##shape, Rule::k##rule, &Stats::name);
+    LASER_STATS_TABLE(LASER_STATS_VISIT)
+#undef LASER_STATS_VISIT
+  }
 
-  // -- per-level filter telemetry (level >= kStatsLevels folds into the
-  //    last slot; L0 probes are level 0) --
-  std::atomic<uint64_t> bloom_checks_by_level[kStatsLevels] = {};
-  std::atomic<uint64_t> bloom_negatives_by_level[kStatsLevels] = {};
-  std::atomic<uint64_t> bloom_false_positives_by_level[kStatsLevels] = {};
-
-  /// One filter probe from the point-read walk, attributed to `level`.
-  /// Mirrors into the aggregate counters.
-  void RecordBloomProbe(int level, bool negative, bool false_positive) {
-    if (level < 0) level = 0;
-    if (level >= kStatsLevels) level = kStatsLevels - 1;
-    bloom_checks.fetch_add(1, std::memory_order_relaxed);
-    bloom_checks_by_level[level].fetch_add(1, std::memory_order_relaxed);
-    if (negative) {
-      bloom_negatives.fetch_add(1, std::memory_order_relaxed);
-      bloom_negatives_by_level[level].fetch_add(1, std::memory_order_relaxed);
-    }
-    if (false_positive) {
-      bloom_false_positives.fetch_add(1, std::memory_order_relaxed);
-      bloom_false_positives_by_level[level].fetch_add(
-          1, std::memory_order_relaxed);
+  /// The slots of one entry: the scalar itself, or every array element.
+  template <typename Entry>
+  static auto Slots(Entry& entry) {
+    if constexpr (std::is_array_v<Entry>) {
+      return std::span<std::remove_extent_t<Entry>>(entry);
+    } else {
+      return std::span<Entry>(&entry, 1);
     }
   }
 
-  // -- scan path (batched merge; flushed per scan, not per row) --
-  std::atomic<uint64_t> scan_rows_merged{0};      ///< rows emitted by merges
-  std::atomic<uint64_t> scan_batches_emitted{0};  ///< non-empty NextBatch fills
-  std::atomic<uint64_t> scan_source_advances{0};  ///< contribution-source steps
-  std::atomic<uint64_t> scan_heap_resifts{0};     ///< k-way-merge heap repairs
-  std::atomic<uint64_t> scan_zip_rows{0};         ///< rows spliced run-at-a-time
-  std::atomic<uint64_t> scan_zip_splices{0};      ///< successful zip rounds
+  /// Zeroes every Counter entry; gauges keep their values.
+  void Reset();
 
-  // -- scan pushdown (predicates, zone maps, pushed aggregates) --
-  std::atomic<uint64_t> blocks_skipped_zonemap{0};   ///< data blocks never read
-  std::atomic<uint64_t> files_skipped_zonemap{0};    ///< files never opened
-  std::atomic<uint64_t> rows_filtered_pushdown{0};   ///< rows dropped by preds
-  std::atomic<uint64_t> aggs_pushed{0};              ///< aggregates folded in-scan
-  /// Blocks whose aggregates were folded straight from the zone map — every
-  /// row provably matched, so count/sum/min/max contributed without the
-  /// block ever being read or decoded.
-  std::atomic<uint64_t> aggs_from_zonemap{0};
-
-  // -- adaptive design (online advisor + in-flight morphing) --
-  std::atomic<uint64_t> design_morph_compactions{0};  ///< level re-layout jobs
-  /// Morph installs after which the tree's per-level design matches the
-  /// persisted target at every level (the morph converged).
-  std::atomic<uint64_t> design_morphs_completed{0};
-
-  // -- configuration gauges (set once at open; not part of Reset) --
-  /// Shard count the block cache actually runs with after the min-bytes-per-
-  /// shard clamp — tiny caches silently degrade below the requested count,
-  /// so the effective value is surfaced here and in bench JSON.
-  std::atomic<uint64_t> block_cache_effective_shards{0};
-
-  // -- filter-memory gauges (refreshed at every version install) --
-  /// Serialized filter bytes currently live per level, and their sum: the
-  /// real memory the filter budget bought, visible next to SST bytes.
-  std::atomic<uint64_t> filter_bytes_by_level[kStatsLevels] = {};
-  std::atomic<uint64_t> filter_bytes_total{0};
-  /// Configured bits-per-key per level ×1000 (gauge; fractional Monkey
-  /// allocations survive the integer slot).
-  std::atomic<uint64_t> bloom_millibits_by_level[kStatsLevels] = {};
-
-  // -- write path --
-  std::atomic<uint64_t> bytes_written_wal{0};
-  std::atomic<uint64_t> wal_syncs{0};          ///< fsyncs issued on the WAL
-  std::atomic<uint64_t> wal_group_commits{0};  ///< commit groups the leader ran
-  std::atomic<uint64_t> wal_group_writes{0};   ///< WriteBatches across all groups
-  std::atomic<uint64_t> bytes_flushed{0};       ///< memtable -> L0 bytes
-  std::atomic<uint64_t> bytes_compacted{0};     ///< compaction output bytes
-  std::atomic<uint64_t> compaction_jobs{0};
-  std::atomic<uint64_t> flush_jobs{0};
-  std::atomic<uint64_t> write_stall_micros{0};  ///< time writers waited
-
-  void Reset() {
-    data_block_reads = 0;
-    block_cache_hits = 0;
-    block_cache_misses = 0;
-    bloom_checks = 0;
-    bloom_negatives = 0;
-    bloom_false_positives = 0;
-    for (int i = 0; i < kStatsLevels; ++i) {
-      bloom_checks_by_level[i] = 0;
-      bloom_negatives_by_level[i] = 0;
-      bloom_false_positives_by_level[i] = 0;
-    }
-    point_reads = 0;
-    range_scans = 0;
-    for (int i = 0; i < kStatsLevels; ++i) point_reads_by_level[i] = 0;
-    for (int i = 0; i < kStatsColumns; ++i) {
-      scan_projected_by_column[i] = 0;
-      point_projected_by_column[i] = 0;
-      updated_by_column[i] = 0;
-    }
-    inserts = 0;
-    updates = 0;
-    scan_rows_emitted = 0;
-    scan_rows_merged = 0;
-    scan_batches_emitted = 0;
-    scan_source_advances = 0;
-    scan_heap_resifts = 0;
-    scan_zip_rows = 0;
-    scan_zip_splices = 0;
-    blocks_skipped_zonemap = 0;
-    files_skipped_zonemap = 0;
-    rows_filtered_pushdown = 0;
-    aggs_pushed = 0;
-    aggs_from_zonemap = 0;
-    design_morph_compactions = 0;
-    design_morphs_completed = 0;
-    bytes_written_wal = 0;
-    wal_syncs = 0;
-    wal_group_commits = 0;
-    wal_group_writes = 0;
-    bytes_flushed = 0;
-    bytes_compacted = 0;
-    compaction_jobs = 0;
-    flush_jobs = 0;
-    write_stall_micros = 0;
-  }
-
-  /// Accumulates every counter into `*out` (the effective-shards gauge takes
-  /// the max, not the sum). Used by ShardedLaserDB to aggregate per-shard
-  /// engine stats into one view.
+  /// Accumulates every entry into `*out` by its rule. ShardedLaserDB uses it
+  /// to aggregate per-shard stats into one view; into a fresh Stats it takes
+  /// a snapshot.
   void AddCountersTo(Stats* out) const;
 
+  /// `name=value` for every scalar entry, then the per-level filter line.
   std::string ToString() const;
 };
 

@@ -364,7 +364,7 @@ TEST_F(LaserDbAdvancedTest, StatsAccumulateAcrossOperations) {
   EXPECT_GT(db_->stats().bytes_compacted.load(), 0u);
   EXPECT_GT(db_->stats().bytes_written_wal.load(), 0u);
   const std::string rendered = db_->stats().ToString();
-  EXPECT_NE(rendered.find("compactions="), std::string::npos);
+  EXPECT_NE(rendered.find("compaction_jobs="), std::string::npos);
 }
 
 TEST_F(LaserDbAdvancedTest, EmptyDatabaseBehaves) {

@@ -899,23 +899,25 @@ TEST(ScanPushdownTest, ConsumptionStylesMixOnOneIterator) {
 // Row/batch consumers over the same tree must never fold (they need the rows).
 TEST(ScanPushdownTest, AggregateAllFoldsFromZoneMaps) {
   struct FoldCase {
-    test::DesignParam design;
+    const char* design;
+    int cg_size;
     ColumnSet projection;
   };
   // Row-only folds a full projection; CG designs fold when the projection
   // stays inside one group's columns.
-  const std::vector<FoldCase> cases = {
-      {{"row", 0}, MakeColumnRange(1, kColumns)},
-      {{"cg3", 3}, {1}},
-      {{"col", 1}, {4}},
+  const FoldCase cases[] = {
+      {"row", 0, MakeColumnRange(1, kColumns)},
+      {"cg3", 3, {1}},
+      {"col", 1, {4}},
   };
   for (const FoldCase& fold_case : cases) {
-    SCOPED_TRACE(fold_case.design.name);
+    SCOPED_TRACE(fold_case.design);
     Random rng(0xf01dab1e);
     auto env = NewMemEnv();
     LaserOptions options =
         test::TinyTreeOptions(env.get(), "/db", kColumns, kLevels);
-    options.cg_config = test::DesignConfig(fold_case.design, kColumns, kLevels);
+    options.cg_config =
+        test::DesignConfig({fold_case.design, fold_case.cg_size}, kColumns, kLevels);
     std::unique_ptr<LaserDB> db;
     ASSERT_TRUE(LaserDB::Open(options, &db).ok());
 

@@ -1,5 +1,5 @@
 // Unit tests for the utility substrate: Status, Slice, coding, CRC32C,
-// hashing, Random, Arena, Histogram, LightLZ codec, Env implementations.
+// hashing, Random, Arena, Histogram, Stats, LightLZ codec, Env implementations.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +16,7 @@
 #include "util/histogram.h"
 #include "util/random.h"
 #include "util/slice.h"
+#include "util/stats.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
 
@@ -309,6 +310,71 @@ TEST(HistogramTest, MergeCombines) {
   a.Merge(b);
   EXPECT_EQ(a.count(), 2u);
   EXPECT_DOUBLE_EQ(a.Average(), 2);
+}
+
+// ----------------------------------------------------------------- Stats --
+
+/// Stores base, base + step, base + 2 * step, ... into the slots of every
+/// Stats entry, in table order.
+void FillSlots(Stats* stats, uint64_t base, uint64_t step) {
+  Stats::ForEachEntry([&](const char*, Stats::Shape, Stats::Rule, auto member) {
+    for (auto& slot : Stats::Slots(stats->*member)) {
+      slot.store(base);
+      base += step;
+    }
+  });
+}
+
+TEST(StatsTest, EveryTableEntryFollowsItsRule) {
+  constexpr uint64_t kBase = 2;
+  Stats shard;
+  FillSlots(&shard, kBase, 1);  // every slot distinct
+  Stats ones;
+  FillSlots(&ones, 1, 0);
+
+  // The table declares every member: its slots add up to the whole object.
+  size_t slots = 0;
+  Stats::ForEachEntry([&](const char*, Stats::Shape, Stats::Rule, auto member) {
+    slots += Stats::Slots(shard.*member).size();
+  });
+  EXPECT_EQ(slots * sizeof(std::atomic<uint64_t>), sizeof(Stats));
+
+  // Aggregation: counters and GaugeSum entries sum, GaugeMax entries keep the
+  // largest value whatever order the shards come in. ToString names every
+  // scalar with its value.
+  Stats total;
+  ones.AddCountersTo(&total);
+  shard.AddCountersTo(&total);
+  ones.AddCountersTo(&total);
+  const std::string text = " " + shard.ToString() + " ";
+  uint64_t value = kBase;
+  Stats::ForEachEntry([&](const char* name, Stats::Shape shape, Stats::Rule rule,
+                          auto member) {
+    const auto sum = Stats::Slots(total.*member);
+    for (size_t i = 0; i < sum.size(); ++i) {
+      const uint64_t v = value + i;
+      EXPECT_EQ(sum[i].load(), rule == Stats::Rule::kGaugeMax ? v : v + 2)
+          << name << "[" << i << "]";
+    }
+    if (shape == Stats::Shape::kScalar) {
+      const std::string field = std::string(name) + "=" + std::to_string(value);
+      EXPECT_NE(text.find(" " + field + " "), std::string::npos) << field;
+    }
+    value += sum.size();
+  });
+
+  // Reset zeroes the counters and keeps both kinds of gauge.
+  shard.Reset();
+  value = kBase;
+  Stats::ForEachEntry([&](const char* name, Stats::Shape, Stats::Rule rule,
+                          auto member) {
+    const auto kept = Stats::Slots(shard.*member);
+    for (size_t i = 0; i < kept.size(); ++i) {
+      EXPECT_EQ(kept[i].load(), rule == Stats::Rule::kCounter ? 0 : value + i)
+          << name << "[" << i << "]";
+    }
+    value += kept.size();
+  });
 }
 
 // --------------------------------------------------------------- LightLZ --
